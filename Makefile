@@ -69,8 +69,9 @@ bench-json:
 	$(GO) run ./cmd/iustitia-benchjson -out BENCH_entropy.json
 
 # The multicore evidence run: the full trajectory append plus a
-# GOMAXPROCS sweep of the pipelined shards {1,4} points, gated on the
-# 4-shard pipelined speedup reaching 1.5x over 1 shard. Meant for a
+# GOMAXPROCS sweep of the workers shards {1,4} points (one ProcessBatch
+# goroutine per shard, fed like the ingest server), gated on the 4-shard
+# workers speedup reaching 1.5x over 1 shard. Meant for a
 # runner with >= 4 CPUs; on fewer the gate self-skips (a 1-CPU box
 # cannot exhibit parallel speedup), so the append still lands honestly.
 bench-multicore:

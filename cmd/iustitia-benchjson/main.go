@@ -6,7 +6,8 @@
 // ns/op, B/op, and allocs/op over the paper's payload scales (256 B,
 // 1 KiB, 4 KiB), the legacy string-keyed baseline for comparison, and the
 // engine scaling curve (shards 1/2/4/8, per-packet vs batched vs
-// pipelined submission) through the sharded flow.ParallelEngine.
+// ingest-shaped worker submission) through the sharded
+// flow.ParallelEngine.
 //
 // Usage:
 //
@@ -22,6 +23,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -33,8 +35,13 @@ import (
 )
 
 // engineBatchSize is the ProcessBatch chunk used by the batched and
-// pipelined engine benchmarks — the ingest server's default batch bound.
+// workers engine benchmarks — the ingest server's default batch bound.
 const engineBatchSize = 64
+
+// workerQueueDepth bounds the batches queued per submitter in the workers
+// mode: a few batches of slack let the dispatcher run ahead of a submitter
+// that is momentarily busy, as the ingest queues let connection readers do.
+const workerQueueDepth = 8
 
 // benchResult is one benchmark entry of a run.
 type benchResult struct {
@@ -166,9 +173,9 @@ func vectorEntry(name string, data []byte, legacy bool) benchResult {
 type engineMode int
 
 const (
-	modeSingle    engineMode = iota // per-packet Process
-	modeBatch                       // synchronous ProcessBatch
-	modePipelined                   // ProcessBatch into shard workers
+	modeSingle  engineMode = iota // per-packet Process
+	modeBatch                     // ProcessBatch from one goroutine
+	modeWorkers                   // ProcessBatch from one goroutine per shard
 )
 
 func (m engineMode) String() string {
@@ -178,7 +185,7 @@ func (m engineMode) String() string {
 	case modeBatch:
 		return "batch"
 	default:
-		return "pipelined"
+		return "workers"
 	}
 }
 
@@ -258,12 +265,11 @@ func (env *benchEnv) replay(shards int, mode engineMode, stream *flow.StreamConf
 				return 0, err
 			}
 		}
-	default:
-		if mode == modePipelined {
-			if err := pe.StartPipeline(0); err != nil {
-				return 0, err
-			}
+	case modeWorkers:
+		if err := replayWorkers(pe, pkts, shards); err != nil {
+			return 0, err
 		}
+	default:
 		batch := make([]*packet.Packet, 0, engineBatchSize)
 		flush := func() error {
 			if len(batch) == 0 {
@@ -287,29 +293,60 @@ func (env *benchEnv) replay(shards int, mode engineMode, stream *flow.StreamConf
 		if err := flush(); err != nil {
 			return 0, err
 		}
-		if mode == modePipelined {
-			pe.Barrier()
-		}
 	}
 	if _, err := pe.FlushAll(pkts[len(pkts)-1].Time + time.Hour); err != nil {
 		return 0, err
 	}
 	elapsed := time.Since(start)
-	if mode == modePipelined {
-		ps := pe.PipelineStats()
-		if err := pe.StopPipeline(); err != nil {
-			return 0, err
-		}
-		if ps.Errors != 0 {
-			return 0, fmt.Errorf("pipelined replay: %d errors, first: %v", ps.Errors, ps.FirstErr)
-		}
-	}
 	st := pe.Stats()
 	if total := st.Classified + st.Fallback + st.Dropped + st.Pending; st.Admitted != total {
 		return 0, fmt.Errorf("conservation violated (shards=%d mode=%s): Admitted %d != %d",
 			shards, mode, st.Admitted, total)
 	}
 	return elapsed, nil
+}
+
+// replayWorkers feeds pe the way the ingest server does, minus the
+// socket: one dispatcher routes each packet by flow ID (flow.ID.Route, the
+// server's worker routing) into batches of engineBatchSize for one of n
+// submitter goroutines, and each submitter calls ProcessBatch. With n equal
+// to the shard count every shard is fed by exactly one submitter.
+func replayWorkers(pe *flow.ParallelEngine, pkts []packet.Packet, n int) error {
+	queues := make([]chan []*packet.Packet, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := range queues {
+		queues[w] = make(chan []*packet.Packet, workerQueueDepth)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for batch := range queues[w] {
+				if failed, err := pe.ProcessBatch(batch); (err != nil || failed != 0) && errs[w] == nil {
+					errs[w] = fmt.Errorf("ProcessBatch: failed=%d err=%w", failed, err)
+				}
+			}
+		}()
+	}
+	pending := make([][]*packet.Packet, n)
+	for i := range pkts {
+		w := flow.IDOf(pkts[i].Tuple).Route(n)
+		if pending[w] == nil {
+			pending[w] = make([]*packet.Packet, 0, engineBatchSize)
+		}
+		pending[w] = append(pending[w], &pkts[i])
+		if len(pending[w]) == engineBatchSize {
+			queues[w] <- pending[w]
+			pending[w] = nil
+		}
+	}
+	for w, q := range queues {
+		if len(pending[w]) > 0 {
+			q <- pending[w]
+		}
+		close(q)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
 }
 
 // engineEntry reports end-to-end flows/sec for one (shards, mode) point of
@@ -384,7 +421,7 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 	}
 	fps := map[string]float64{}
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, mode := range []engineMode{modeSingle, modeBatch, modePipelined} {
+		for _, mode := range []engineMode{modeSingle, modeBatch, modeWorkers} {
 			name := fmt.Sprintf("flow.ParallelEngine/shards-%d/%s/trace-2000flows", shards, mode)
 			entry, err := env.engineEntry(name, shards, mode, nil, false)
 			if err != nil {
@@ -398,31 +435,31 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 	}
 	// The scaling and batching ratios the trajectory tracks: how much the
 	// batched submission buys over per-packet at one shard, and how the
-	// pipelined path scales with shard count.
+	// workers path scales with shard count.
 	if base := fps["shards-1/single"]; base > 0 {
 		cur.Speedups["engine_batch_over_single_shards1"] = fps["shards-1/batch"] / base
 	}
-	if base := fps["shards-1/pipelined"]; base > 0 {
+	if base := fps["shards-1/workers"]; base > 0 {
 		for _, shards := range []int{2, 4, 8} {
-			key := fmt.Sprintf("engine_pipelined_shards%d_over_shards1", shards)
-			cur.Speedups[key] = fps[fmt.Sprintf("shards-%d/pipelined", shards)] / base
+			key := fmt.Sprintf("engine_workers_shards%d_over_shards1", shards)
+			cur.Speedups[key] = fps[fmt.Sprintf("shards-%d/workers", shards)] / base
 		}
 	}
 
-	// Replica-vs-shared classifier: the same pipelined shards-4 replay,
+	// Replica-vs-shared classifier: the same workers shards-4 replay,
 	// the only variable being whether every shard shares one classifier
 	// (one hot atomic model-pointer word) or owns a replica. On a single
 	// core the ratio sits near 1.0; the gap is a multicore effect.
 	repl, err := env.engineEntry(
-		"flow.ParallelEngine/shards-4/pipelined/replica-classifiers/trace-2000flows",
-		4, modePipelined, nil, true)
+		"flow.ParallelEngine/shards-4/workers/replica-classifiers/trace-2000flows",
+		4, modeWorkers, nil, true)
 	if err != nil {
 		return err
 	}
 	cur.Results = append(cur.Results, repl)
 	fmt.Fprintf(os.Stderr, "%-56s %12.0f ns/pkt %14.0f flows/sec\n",
 		repl.Name, repl.NsPerOp, repl.FlowsPerSec)
-	if base := fps["shards-4/pipelined"]; base > 0 {
+	if base := fps["shards-4/workers"]; base > 0 {
 		cur.Speedups["classifier_replica_over_shared"] = repl.FlowsPerSec / base
 	}
 
@@ -434,7 +471,7 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 		return err
 	}
 
-	// The -procs-sweep curve: the pipelined shards {1,4} points re-run
+	// The -procs-sweep curve: the workers shards {1,4} points re-run
 	// under each requested GOMAXPROCS, so one run shows how the shard
 	// speedup tracks the cores actually granted. Each entry's Procs field
 	// records the setting it ran under.
@@ -442,8 +479,8 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 		runtime.GOMAXPROCS(p)
 		sweepFPS := map[int]float64{}
 		for _, shards := range []int{1, 4} {
-			name := fmt.Sprintf("flow.ParallelEngine/procs-%d/shards-%d/pipelined/trace-2000flows", p, shards)
-			entry, err := env.engineEntry(name, shards, modePipelined, nil, false)
+			name := fmt.Sprintf("flow.ParallelEngine/procs-%d/shards-%d/workers/trace-2000flows", p, shards)
+			entry, err := env.engineEntry(name, shards, modeWorkers, nil, false)
 			if err != nil {
 				return err
 			}
@@ -453,7 +490,7 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 				entry.Name, entry.NsPerOp, entry.FlowsPerSec)
 		}
 		if base := sweepFPS[1]; base > 0 {
-			cur.Speedups[fmt.Sprintf("engine_pipelined_shards4_over_shards1_procs%d", p)] = sweepFPS[4] / base
+			cur.Speedups[fmt.Sprintf("engine_workers_shards4_over_shards1_procs%d", p)] = sweepFPS[4] / base
 		}
 	}
 	runtime.GOMAXPROCS(procs)
@@ -470,13 +507,13 @@ func run(out string, procs int, sweep []int, assertScaling float64) error {
 	fmt.Fprintf(os.Stderr, "appended run %d to %s (alloc improvement at 1 KiB: %.0fx, GOMAXPROCS %d of %d CPUs)\n",
 		len(doc.Runs), out, cur.AllocImprovement1KiB, cur.GOMAXPROCS, cur.NumCPU)
 
-	// The multicore gate: on a box with enough cores, 4 pipelined shards
+	// The multicore gate: on a box with enough cores, 4 workers-fed shards
 	// must actually scale. The run is appended before asserting, so a
 	// failing gate still leaves its evidence in the trajectory. A 1-CPU
 	// runner cannot exhibit parallel speedup — the assertion is skipped,
 	// not faked.
 	if assertScaling > 0 {
-		key := "engine_pipelined_shards4_over_shards1"
+		key := "engine_workers_shards4_over_shards1"
 		got := cur.Speedups[key]
 		switch {
 		case cur.NumCPU < 4:
@@ -511,8 +548,8 @@ func parseProcsSweep(s string) ([]int, error) {
 func main() {
 	out := flag.String("out", "BENCH_entropy.json", "output JSON path (appended to, not overwritten)")
 	procs := flag.Int("procs", runtime.NumCPU(), "GOMAXPROCS for the run (recorded per result)")
-	procsSweep := flag.String("procs-sweep", "", "comma-separated GOMAXPROCS values to re-run the pipelined shards {1,4} points under (e.g. 1,2,4)")
-	assertScaling := flag.Float64("assert-scaling", 0, "fail unless engine_pipelined_shards4_over_shards1 reaches this ratio (skipped below 4 CPUs; 0 disables)")
+	procsSweep := flag.String("procs-sweep", "", "comma-separated GOMAXPROCS values to re-run the workers shards {1,4} points under (e.g. 1,2,4)")
+	assertScaling := flag.Float64("assert-scaling", 0, "fail unless engine_workers_shards4_over_shards1 reaches this ratio (skipped below 4 CPUs; 0 disables)")
 	flag.Parse()
 	if *procs < 1 {
 		fmt.Fprintln(os.Stderr, "iustitia-benchjson: -procs must be >= 1")

@@ -61,9 +61,7 @@ func run() error {
 		idleFlush = flag.Duration("idle-flush", 2*time.Second, "classify flows idle this long in packet time (0 = only at drain)")
 		shards    = flag.Int("shards", 4, "engine shards (flow-parallel classification)")
 		workers   = flag.Int("workers", 2, "supervised ingest workers")
-		batch     = flag.Int("batch", 0, "packets per engine submission batch (1 = per-packet, 0 = default)")
-		pipeline  = flag.Bool("pipeline", false, "run the engine in pipelined mode: one worker goroutine per shard behind bounded queues")
-		replicate = flag.Bool("replicate-model", true, "give each shard its own classifier replica (no shared model-pointer word on the hot path); hot-swap flips every replica under the frame gate")
+		batch     = flag.Int("batch", 0, "max packets a worker gathers per engine submission (0 = default)")
 		pprofAddr = flag.String("pprof", "", "TCP listen address for the net/http/pprof debug endpoint (enables mutex and block profiling)")
 
 		queueDepth  = flag.Int("ingest-queue", 1024, "total packets queued between readers and workers")
@@ -109,9 +107,9 @@ func run() error {
 		return err
 	}
 
-	// The model is loaded as a bare core.Classifier: the ops manager flips
-	// its atomic model payload on SWAP-MODEL, and the engine classifies
-	// through the same pointer, so a hot-swap needs no engine rebuild.
+	// The model is loaded once and fanned out to per-shard replicas below;
+	// the ops manager flips their model payload on SWAP-MODEL, so a
+	// hot-swap needs no engine rebuild.
 	var clf *core.Classifier
 	if *loadModel != "" {
 		payload, err := persist.LoadFile(*loadModel, persist.KindClassifier)
@@ -134,28 +132,21 @@ func run() error {
 		}
 	}
 
-	// By default every shard gets its own classifier replica, so the hot
-	// path never shares the atomic model-pointer word across cores; the
-	// ReplicaSet is then the ops model surface, and SWAP-MODEL flips all
-	// replicas atomically under the ingest frame gate.
-	// -replicate-model=false restores the single shared classifier.
-	var modelSurface ops.ModelSurface = clf
-	var shardClassifiers []flow.Classifier
-	if *replicate {
-		rs, err := core.NewReplicaSet(clf, *shards)
-		if err != nil {
-			return err
-		}
-		shardClassifiers = make([]flow.Classifier, *shards)
-		for i := range shardClassifiers {
-			shardClassifiers[i] = rs.Replica(i)
-		}
-		modelSurface = rs
+	// Every shard gets its own classifier replica, so the hot path never
+	// shares the atomic model-pointer word across cores; the ReplicaSet is
+	// the ops model surface, and SWAP-MODEL flips all replicas atomically
+	// under the ingest frame gate.
+	replicas, err := core.NewReplicaSet(clf, *shards)
+	if err != nil {
+		return err
+	}
+	shardClassifiers := make([]flow.Classifier, *shards)
+	for i := range shardClassifiers {
+		shardClassifiers[i] = replicas.Replica(i)
 	}
 
 	engineCfg := flow.EngineConfig{
 		BufferSize:    *buffer,
-		Classifier:    clf,
 		IdleFlush:     *idleFlush,
 		MaxPending:    *maxPending,
 		Eviction:      evictPolicy,
@@ -214,15 +205,6 @@ func run() error {
 		}
 	}
 
-	// Pipelined mode is started on the serving engine (after any resume
-	// swap) and stopped after the drain barrier has flushed its queues.
-	if *pipeline {
-		if err := engine.StartPipeline(0); err != nil {
-			return err
-		}
-		fmt.Printf("engine pipeline: %d shard workers\n", *shards)
-	}
-
 	// Signals are armed early so the ops DRAIN verb can inject a SIGTERM:
 	// an admin-driven drain and an operator ^C share one shutdown path.
 	sigCh := make(chan os.Signal, 2)
@@ -230,7 +212,7 @@ func run() error {
 
 	mgr, err := ops.NewManager(ops.Config{
 		Engine:     engine,
-		Classifier: modelSurface,
+		Classifier: replicas,
 		Classes:    corpus.NumClasses,
 		BufferSize: *buffer,
 		Stream:     *stream,
@@ -399,18 +381,6 @@ func run() error {
 	// An in-flight swap probation must settle before exit, so a rollback
 	// decision is never lost to process teardown.
 	mgr.Close()
-	if *pipeline {
-		// Shutdown already barriered the shard workers; surface their
-		// counters before tearing the pipeline down.
-		ps := engine.PipelineStats()
-		if stopErr := engine.StopPipeline(); stopErr != nil && drainErr == nil {
-			drainErr = stopErr
-		}
-		if ps.Errors > 0 {
-			fmt.Fprintf(os.Stderr, "iustitia-serve: pipeline: %d errors, first: %v\n",
-				ps.Errors, ps.FirstErr)
-		}
-	}
 	if *unixSock != "" {
 		os.Remove(*unixSock)
 	}

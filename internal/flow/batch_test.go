@@ -2,6 +2,7 @@ package flow
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -60,9 +61,9 @@ func replaySequential(t *testing.T, trace *packet.Trace, shards int) *ParallelEn
 	return ref
 }
 
-// assertBatchMatches compares a batched/pipelined replay against the
+// assertBatchMatches compares a batched replay against the
 // sequential reference: identical aggregate stats, the §6 conservation
-// law, and an identical label for every flow.
+// law, and an identical label and recorded label for every flow.
 func assertBatchMatches(t *testing.T, trace *packet.Trace, got, want *ParallelEngine) {
 	t.Helper()
 	gs, ws := got.Stats(), want.Stats()
@@ -78,11 +79,16 @@ func assertBatchMatches(t *testing.T, trace *packet.Trace, got, want *ParallelEn
 		if gok != wok || gl != wl {
 			t.Errorf("flow %v: label (%v,%v) diverges from (%v,%v)", tuple, gl, gok, wl, wok)
 		}
+		gl, gok = got.RecordedLabel(tuple)
+		wl, wok = want.RecordedLabel(tuple)
+		if gok != wok || gl != wl {
+			t.Errorf("flow %v: recorded label (%v,%v) diverges from (%v,%v)", tuple, gl, gok, wl, wok)
+		}
 	}
 }
 
 // replayBatches drives trace through ProcessBatch in fixed-size chunks and
-// flushes, barriering first when pipelined.
+// flushes.
 func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk int) {
 	t.Helper()
 	var maxSeen time.Duration
@@ -106,7 +112,6 @@ func replayBatches(t *testing.T, pe *ParallelEngine, trace *packet.Trace, chunk 
 		}
 	}
 	flush()
-	pe.Barrier()
 	if _, err := pe.FlushAll(maxSeen + time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -123,95 +128,51 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPipelinedBatchMatchesSequential proves the pipelined path — shard
-// workers behind bounded queues — preserves every verdict, counter, and
-// the conservation law.
-func TestPipelinedBatchMatchesSequential(t *testing.T) {
+// TestProcessBatchConcurrentSubmitters proves ProcessBatch is safe and
+// exact under the ingest server's shape: several goroutines submit at once,
+// each owning the flows ID.Route assigns it. Every counter and every
+// durable verdict must equal the sequential replay, whether the submitter
+// count divides the shard count (each shard fed by one goroutine) or not
+// (goroutines share shards).
+func TestProcessBatchConcurrentSubmitters(t *testing.T) {
 	trace := testTrace(t, 120, 13)
-	for _, shards := range []int{1, 2, 4} {
+	const shards = 4
+	want := replaySequential(t, trace, shards)
+	for _, submitters := range []int{2, 3, 4} {
+		perSub := make([][]*packet.Packet, submitters)
+		var maxSeen time.Duration
+		for i := range trace.Packets {
+			p := &trace.Packets[i]
+			maxSeen = max(maxSeen, p.Time)
+			w := IDOf(p.Tuple).Route(submitters)
+			perSub[w] = append(perSub[w], p)
+		}
 		pe := newBatchEngine(t, shards)
-		if err := pe.StartPipeline(4); err != nil {
+		var wg sync.WaitGroup
+		for _, pkts := range perSub {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for len(pkts) > 0 {
+					n := min(32, len(pkts))
+					if failed, err := pe.ProcessBatch(pkts[:n]); err != nil || failed != 0 {
+						t.Errorf("submitters=%d: ProcessBatch: failed=%d err=%v", submitters, failed, err)
+						return
+					}
+					pkts = pkts[n:]
+				}
+			}()
+		}
+		wg.Wait()
+		if _, err := pe.FlushAll(maxSeen + time.Minute); err != nil {
 			t.Fatal(err)
 		}
-		replayBatches(t, pe, trace, 32)
-		if err := pe.StopPipeline(); err != nil {
-			t.Fatal(err)
-		}
-		ps := pe.PipelineStats()
-		if ps.Errors != 0 || ps.FirstErr != nil {
-			t.Fatalf("pipeline errors: %+v", ps)
-		}
-		assertBatchMatches(t, trace, pe, replaySequential(t, trace, shards))
-	}
-}
-
-// TestPipelineBarrierCompletes pins Barrier's contract: after it returns,
-// every packet enqueued beforehand has reached its shard.
-func TestPipelineBarrierCompletes(t *testing.T) {
-	trace := testTrace(t, 60, 17)
-	pe := newBatchEngine(t, 4)
-	if err := pe.StartPipeline(2); err != nil {
-		t.Fatal(err)
-	}
-	batch := make([]*packet.Packet, 0, len(trace.Packets))
-	data := 0
-	for i := range trace.Packets {
-		batch = append(batch, &trace.Packets[i])
-		if trace.Packets[i].IsData() {
-			data++
-		}
-	}
-	if _, err := pe.ProcessBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	pe.Barrier()
-	if got := pe.PipelineStats().Processed; got != len(trace.Packets) {
-		t.Errorf("Processed = %d after Barrier, want %d", got, len(trace.Packets))
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPipelineLifecycle pins the mode-switching contract.
-func TestPipelineLifecycle(t *testing.T) {
-	pe := newBatchEngine(t, 2)
-	if pe.Pipelined() {
-		t.Error("fresh engine reports pipelined")
-	}
-	pe.Barrier() // must be a no-op, not a hang
-	if err := pe.StopPipeline(); err == nil {
-		t.Error("StopPipeline without StartPipeline: want error")
-	}
-	if err := pe.StartPipeline(-1); err == nil {
-		t.Error("negative depth: want error")
-	}
-	if err := pe.StartPipeline(0); err != nil {
-		t.Fatal(err)
-	}
-	if !pe.Pipelined() {
-		t.Error("engine not pipelined after StartPipeline")
-	}
-	if err := pe.StartPipeline(0); err == nil {
-		t.Error("double StartPipeline: want error")
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-	if pe.Pipelined() {
-		t.Error("engine still pipelined after StopPipeline")
-	}
-	// The engine must be restartable.
-	if err := pe.StartPipeline(1); err != nil {
-		t.Fatal(err)
-	}
-	if err := pe.StopPipeline(); err != nil {
-		t.Fatal(err)
+		assertBatchMatches(t, trace, pe, want)
 	}
 }
 
 // TestProcessBatchNilPacket pins the error contract: a nil packet fails
-// the whole batch before anything is enqueued.
+// the whole batch before anything is processed.
 func TestProcessBatchNilPacket(t *testing.T) {
 	pe := newBatchEngine(t, 2)
 	tp := tuple(4000, packet.TCP)

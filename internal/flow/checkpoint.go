@@ -117,17 +117,19 @@ func (e *Engine) ImportCheckpoint(data []byte) error {
 // flows have been classified since the last snapshot. It is called
 // outside the engine lock so the hook may call any engine method.
 func (e *Engine) maybeCheckpoint() {
-	cfg := e.cfg
-	if cfg.OnCheckpoint == nil || cfg.CheckpointEvery <= 0 {
+	// Read only the two fields fixed at construction: copying all of cfg
+	// without the lock races with the live setters (SetMaxPending etc.).
+	hook, every := e.cfg.OnCheckpoint, e.cfg.CheckpointEvery
+	if hook == nil || every <= 0 {
 		return
 	}
 	e.mu.Lock()
-	if e.sinceCkpt < cfg.CheckpointEvery {
+	if e.sinceCkpt < every {
 		e.mu.Unlock()
 		return
 	}
 	e.sinceCkpt = 0
 	blob := e.exportCheckpointLocked()
 	e.mu.Unlock()
-	cfg.OnCheckpoint(blob)
+	hook(blob)
 }

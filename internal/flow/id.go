@@ -7,6 +7,7 @@ package flow
 
 import (
 	"crypto/sha1"
+	"encoding/binary"
 
 	"iustitia/internal/packet"
 )
@@ -19,6 +20,18 @@ type ID [sha1.Size]byte
 func IDOf(t packet.FiveTuple) ID {
 	wire := t.Marshal()
 	return sha1.Sum(wire[:])
+}
+
+// Route maps the flow to one of n partitions (n > 0): the top 64-bit word
+// of the ID reduced mod n. It is the single flow-ID routing decision —
+// ParallelEngine picks shards with it and the ingest server picks workers
+// with it — so when the worker count divides the shard count, every flow a
+// worker receives lands on a shard congruent to that worker mod the
+// worker count. A full word is reduced because a two-byte reduction leaves
+// only 65536 distinct values, which mod a non-power-of-two n skews the
+// residue classes and unbalances load.
+func (id ID) Route(n int) int {
+	return int(binary.BigEndian.Uint64(id[:8]) % uint64(n))
 }
 
 // RecordBits is the CDB record size the paper accounts: 160 bits of SHA-1

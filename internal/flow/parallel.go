@@ -1,11 +1,9 @@
 package flow
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iustitia/internal/corpus"
@@ -21,10 +19,7 @@ import (
 type ParallelEngine struct {
 	shards []*Engine
 
-	// pl is the optional pipelined-mode worker set (see batch.go); nil
-	// while the engine is synchronous. scratch pools the batch partition
-	// buffers.
-	pl      atomic.Pointer[pipeline]
+	// scratch pools the batch partition buffers (see batch.go).
 	scratch sync.Pool
 }
 
@@ -59,17 +54,14 @@ func NewParallelEngine(cfg EngineConfig, shards int, classifiers []Classifier) (
 // Shards returns the shard count.
 func (pe *ParallelEngine) Shards() int { return len(pe.shards) }
 
-// shardFor maps a flow ID to its shard. It reduces a full 64-bit word of
-// the SHA-1 flow ID: a two-byte reduction (the old scheme) leaves only
-// 65536 distinct values, which mod a non-power-of-two shard count skews
-// the residue classes and unbalances shard load.
+// shardFor maps a flow ID to its shard.
 func (pe *ParallelEngine) shardFor(id ID) *Engine {
 	return pe.shards[pe.shardIndex(id)]
 }
 
 // shardIndex is shardFor returning the index, for migration dispatch.
 func (pe *ParallelEngine) shardIndex(id ID) int {
-	return int(binary.BigEndian.Uint64(id[:8]) % uint64(len(pe.shards)))
+	return id.Route(len(pe.shards))
 }
 
 // Process routes a packet to its flow's shard. Safe for concurrent use;

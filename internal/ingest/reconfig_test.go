@@ -155,9 +155,10 @@ func TestServerReconfigureMidBurst(t *testing.T) {
 	}
 }
 
-// TestSetBatchPinnedInPerPacketMode pins the structural constraint: a
-// server built per-packet cannot be reconfigured into batching.
-func TestSetBatchPinnedInPerPacketMode(t *testing.T) {
+// TestSetBatchFromBatchOne checks a server built with Batch: 1 is not a
+// separate mode: its gather bound retunes like any other, and a
+// non-positive bound is still refused.
+func TestSetBatchFromBatchOne(t *testing.T) {
 	l := listenLocal(t)
 	s := startServer(t, Config{
 		Engine:    newTestEngine(t, 1),
@@ -166,8 +167,14 @@ func TestSetBatchPinnedInPerPacketMode(t *testing.T) {
 		Batch:     1,
 	})
 	defer shutdownServer(t, s)
-	if err := s.SetBatch(8); err == nil {
-		t.Error("SetBatch succeeded on a per-packet server")
+	if err := s.SetBatch(8); err != nil {
+		t.Errorf("SetBatch(8) on a Batch: 1 server: %v", err)
+	}
+	if got := s.Batch(); got != 8 {
+		t.Errorf("batch = %d, want 8", got)
+	}
+	if err := s.SetBatch(0); err == nil {
+		t.Error("SetBatch(0) succeeded")
 	}
 }
 

@@ -184,15 +184,19 @@ func TestServerEndToEnd(t *testing.T) {
 	assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
 }
 
-// replayThrough replays a trace through a server built from cfg and
-// returns the final stats after a clean drain.
-func replayThrough(t *testing.T, trace *packet.Trace, cfg Config, addr string, s *Server) Stats {
+// replayThrough replays a trace through a started server, calling midway
+// (when non-nil) after half the packets are sent, and returns the final
+// stats after a clean drain.
+func replayThrough(t *testing.T, trace *packet.Trace, addr string, s *Server, midway func()) Stats {
 	t.Helper()
 	client, err := NewClient(ClientConfig{Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) }})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range trace.Packets {
+		if i == len(trace.Packets)/2 && midway != nil {
+			midway()
+		}
 		if err := client.Send(&trace.Packets[i]); err != nil {
 			t.Fatalf("Send(%d): %v", i, err)
 		}
@@ -209,15 +213,24 @@ func replayThrough(t *testing.T, trace *packet.Trace, cfg Config, addr string, s
 	return s.Stats()
 }
 
-// TestServerPerPacketMode pins Batch: 1 as the legacy per-packet worker
-// path, equivalent to the batched default.
+// TestServerPerPacketMode pins Batch: 1 as a gather bound of one on the
+// one worker path, retunable live: the replay starts submitting single
+// packets, switches to batches of up to 64 mid-stream, and must still
+// conserve every packet and match the in-process replay verdict for
+// verdict.
 func TestServerPerPacketMode(t *testing.T) {
 	trace := testTrace(t, 60, 21)
 	engine := newTestEngine(t, 2)
 	l := listenLocal(t)
-	cfg := Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2, Batch: 1}
-	s := startServer(t, cfg)
-	st := replayThrough(t, trace, cfg, l.Addr().String(), s)
+	s := startServer(t, Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2, Batch: 1})
+	st := replayThrough(t, trace, l.Addr().String(), s, func() {
+		if err := s.SetBatch(64); err != nil {
+			t.Errorf("SetBatch(64) on a Batch: 1 server: %v", err)
+		}
+	})
+	if got := s.Batch(); got != 64 {
+		t.Errorf("batch after retune = %d, want 64", got)
+	}
 	assertConservation(t, st)
 	if st.Admitted != len(trace.Packets) {
 		t.Errorf("admitted %d packets, sent %d", st.Admitted, len(trace.Packets))
@@ -225,34 +238,40 @@ func TestServerPerPacketMode(t *testing.T) {
 	assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
 }
 
-// TestServerPipelinedEngine runs the server against an engine in
-// pipelined mode: ingest workers enqueue batches to the shard workers, and
-// Shutdown's barrier guarantees the drain flush sees every packet.
-func TestServerPipelinedEngine(t *testing.T) {
-	trace := testTrace(t, 60, 23)
-	engine := newTestEngine(t, 2)
-	if err := engine.StartPipeline(0); err != nil {
-		t.Fatal(err)
+// TestWorkerRoutingFollowsShards pins the routing property the serve path
+// relies on: workers and shards route with the same flow.ID.Route, so when
+// the worker count divides the shard count, every packet worker w receives
+// lands on a shard congruent to w mod the worker count — each shard is fed
+// by exactly one worker.
+func TestWorkerRoutingFollowsShards(t *testing.T) {
+	trace := testTrace(t, 200, 25)
+	for _, tc := range []struct{ workers, shards int }{
+		{1, 1}, {1, 4}, {2, 2}, {2, 4}, {2, 8}, {3, 6}, {4, 4}, {4, 8},
+	} {
+		s, err := NewServer(Config{
+			Engine:    newTestEngine(t, tc.shards),
+			Listeners: []net.Listener{listenLocal(t)},
+			Workers:   tc.workers,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queueIndex := make(map[chan item]int, tc.workers)
+		for w, q := range s.queues {
+			queueIndex[q] = w
+		}
+		for i := range trace.Packets {
+			p := &trace.Packets[i]
+			w := queueIndex[s.workerFor(p)]
+			if shard := flow.IDOf(p.Tuple).Route(tc.shards); shard%tc.workers != w {
+				t.Fatalf("workers=%d shards=%d: flow %v goes to worker %d but shard %d",
+					tc.workers, tc.shards, p.Tuple, w, shard)
+			}
+		}
+		for _, l := range s.cfg.Listeners {
+			l.Close()
+		}
 	}
-	l := listenLocal(t)
-	cfg := Config{Engine: engine, Listeners: []net.Listener{l}, Workers: 2}
-	s := startServer(t, cfg)
-	st := replayThrough(t, trace, cfg, l.Addr().String(), s)
-	ps := engine.PipelineStats()
-	if err := engine.StopPipeline(); err != nil {
-		t.Fatal(err)
-	}
-	if ps.Errors != 0 {
-		t.Fatalf("pipeline errors: %+v", ps)
-	}
-	if ps.Processed != len(trace.Packets) {
-		t.Errorf("pipeline processed %d packets, sent %d", ps.Processed, len(trace.Packets))
-	}
-	assertConservation(t, st)
-	if st.Admitted != len(trace.Packets) {
-		t.Errorf("admitted %d packets, sent %d", st.Admitted, len(trace.Packets))
-	}
-	assertEnginesMatch(t, trace, engine, replayReference(t, trace, 2))
 }
 
 // TestServerUnixSocket checks the same framing works over a unix socket
