@@ -3,7 +3,6 @@ package entropy
 import (
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -56,10 +55,13 @@ func flatSlotsFor(n int) int {
 	return capacity
 }
 
-// maxFlatCount is the largest payload length whose per-element counts are
-// guaranteed to fit the tables' uint32 counters. Anything longer (a >4 GiB
-// payload — far beyond any flow buffer) takes the string-keyed fallback.
-const maxFlatCount = 1<<32 - 1
+// maxFlatLen is the largest payload length the packed tables count. Its
+// counts then fit their uint32 counters, and its at most maxFlatLen
+// distinct keys never grow a table past the 2^32 slots a uint32 touched
+// index can name (growth to 2^33 slots needs 3·2^30 keys). Anything longer
+// (a multi-GiB payload — far beyond any flow buffer) takes the
+// string-keyed fallback.
+const maxFlatLen = 3<<30 - 1
 
 // fibMul is the 64-bit Fibonacci hashing multiplier (2^64/φ): it spreads
 // the low-entropy packed keys across the table's high index bits.
@@ -148,6 +150,11 @@ func (lt *logTable) term(mult, c int) float64 {
 
 // ---------------------------------------------------------------------------
 // Flat counting tables
+//
+// Each table records the slot index of every slot it occupies in a touched
+// list, so draining it costs O(distinct keys) rather than O(slots): a 32 B
+// payload fills about 30 of its table's 2048 slots, and even a 4 KiB one
+// leaves most of its 8192 empty.
 
 // flatSlot is one open-addressing slot: cnt == 0 marks it empty (a count
 // never stays at zero once a key is inserted).
@@ -159,17 +166,23 @@ type flatSlot struct {
 // flatTable counts single-word packed keys by linear probing over a
 // power-of-two slot array, growing by doubling at 3/4 load.
 type flatTable struct {
-	slots  []flatSlot
-	size   int
-	growAt int
-	shift  uint // 64 - log2(len(slots)); Fibonacci hash keeps the top bits
+	slots []flatSlot
+	// touched[:size] are the indexes of the occupied slots. Its length is
+	// growAt, so the scan stores into it without appending: the table
+	// grows as soon as size reaches growAt.
+	touched []uint32
+	size    int
+	growAt  int
+	shift   uint // 64 - log2(len(slots)); Fibonacci hash keeps the top bits
 }
 
-// initSlots (re)allocates the slot array at a power-of-two capacity.
+// initSlots (re)allocates the slot array and touched list at a
+// power-of-two capacity.
 func (t *flatTable) initSlots(capacity int) {
 	t.slots = make([]flatSlot, capacity)
 	t.size = 0
 	t.growAt = capacity / 4 * 3
+	t.touched = make([]uint32, t.growAt)
 	t.shift = 64 - uint(trailingLog2(capacity))
 }
 
@@ -178,21 +191,21 @@ func trailingLog2(c int) int {
 	return bits.TrailingZeros64(uint64(c))
 }
 
-// grow doubles the table and rehashes every occupied slot. Counts carry
-// over verbatim, so growth mid-scan cannot change any final count.
+// grow doubles the table, rehashes every occupied slot and rebuilds the
+// touched list. Counts carry over verbatim, so growth mid-scan cannot
+// change any final count.
 func (t *flatTable) grow() {
-	old := t.slots
+	old, oldTouched := t.slots, t.touched[:t.size]
 	t.initSlots(2 * len(old))
 	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.cnt == 0 {
-			continue
-		}
+	for _, j := range oldTouched {
+		s := old[j]
 		i := (s.key * fibMul) >> t.shift
 		for t.slots[i&mask].cnt != 0 {
 			i++
 		}
 		t.slots[i&mask] = s
+		t.touched[t.size] = uint32(i & mask)
 		t.size++
 	}
 }
@@ -207,22 +220,24 @@ func (t *flatTable) scan(data []byte, k int) {
 	for _, b := range data[:k-1] {
 		reg = reg<<8 | uint64(b)
 	}
-	slots, shift := t.slots, t.shift
+	slots, touched, shift := t.slots, t.touched, t.shift
 	mask := uint64(len(slots) - 1)
 	size, growAt := t.size, t.growAt
 	for _, b := range data[k-1:] {
 		reg = (reg<<8 | uint64(b)) & regMask
 		i := (reg * fibMul) >> shift
 		for {
-			s := &slots[i&mask]
+			j := i & mask
+			s := &slots[j]
 			if s.cnt == 0 {
 				s.key = reg
 				s.cnt = 1
+				touched[size] = uint32(j)
 				size++
 				if size >= growAt {
 					t.size = size
 					t.grow()
-					slots, shift = t.slots, t.shift
+					slots, touched, shift = t.slots, t.touched, t.shift
 					mask = uint64(len(slots) - 1)
 					size, growAt = t.size, t.growAt
 				}
@@ -238,29 +253,14 @@ func (t *flatTable) scan(data []byte, k int) {
 	t.size = size
 }
 
-// fold drains the table: it collects every count above one, zeroes the
-// slots as it goes (leaving the table empty for the next scan), and
-// returns the ascending count-of-counts sum Σ c·log2(c).
-func (t *flatTable) fold(scratch []int, lt *logTable) (float64, []int) {
-	scratch = scratch[:0]
-	for i := range t.slots {
-		if c := t.slots[i].cnt; c != 0 {
-			if c > 1 {
-				scratch = append(scratch, int(c))
-			}
-			t.slots[i].cnt = 0
-		}
+// drain tallies every occupied slot's count into cc and zeroes it,
+// leaving the table empty for the next scan.
+func (t *flatTable) drain(cc *countOfCounts) {
+	for _, j := range t.touched[:t.size] {
+		s := &t.slots[j]
+		cc.add(s.cnt)
+		s.cnt = 0
 	}
-	t.size = 0
-	return foldCounts(scratch, lt)
-}
-
-// resetHard clears the table without folding (the error path).
-func (t *flatTable) resetHard() {
-	if t.slots == nil {
-		return
-	}
-	clear(t.slots)
 	t.size = 0
 }
 
@@ -272,32 +272,33 @@ type wideSlot struct {
 
 // wideTable is the [2]uint64-keyed twin of flatTable for 9 <= k <= 16.
 type wideTable struct {
-	slots  []wideSlot
-	size   int
-	growAt int
-	shift  uint
+	slots   []wideSlot
+	touched []uint32 // as flatTable.touched
+	size    int
+	growAt  int
+	shift   uint
 }
 
 func (t *wideTable) initSlots(capacity int) {
 	t.slots = make([]wideSlot, capacity)
 	t.size = 0
 	t.growAt = capacity / 4 * 3
+	t.touched = make([]uint32, t.growAt)
 	t.shift = 64 - uint(trailingLog2(capacity))
 }
 
 func (t *wideTable) grow() {
-	old := t.slots
+	old, oldTouched := t.slots, t.touched[:t.size]
 	t.initSlots(2 * len(old))
 	mask := uint64(len(t.slots) - 1)
-	for _, s := range old {
-		if s.cnt == 0 {
-			continue
-		}
+	for _, j := range oldTouched {
+		s := old[j]
 		i := (s.lo*fibMul ^ s.hi*wideMul) >> t.shift
 		for t.slots[i&mask].cnt != 0 {
 			i++
 		}
 		t.slots[i&mask] = s
+		t.touched[t.size] = uint32(i & mask)
 		t.size++
 	}
 }
@@ -311,7 +312,7 @@ func (t *wideTable) scan(data []byte, k int) {
 		hi = hi<<8 | lo>>56
 		lo = lo<<8 | uint64(b)
 	}
-	slots, shift := t.slots, t.shift
+	slots, touched, shift := t.slots, t.touched, t.shift
 	mask := uint64(len(slots) - 1)
 	size, growAt := t.size, t.growAt
 	for _, b := range data[k-1:] {
@@ -319,15 +320,17 @@ func (t *wideTable) scan(data []byte, k int) {
 		lo = lo<<8 | uint64(b)
 		i := (lo*fibMul ^ hi*wideMul) >> shift
 		for {
-			s := &slots[i&mask]
+			j := i & mask
+			s := &slots[j]
 			if s.cnt == 0 {
 				s.hi, s.lo = hi, lo
 				s.cnt = 1
+				touched[size] = uint32(j)
 				size++
 				if size >= growAt {
 					t.size = size
 					t.grow()
-					slots, shift = t.slots, t.shift
+					slots, touched, shift = t.slots, t.touched, t.shift
 					mask = uint64(len(slots) - 1)
 					size, growAt = t.size, t.growAt
 				}
@@ -343,32 +346,19 @@ func (t *wideTable) scan(data []byte, k int) {
 	t.size = size
 }
 
-func (t *wideTable) fold(scratch []int, lt *logTable) (float64, []int) {
-	scratch = scratch[:0]
-	for i := range t.slots {
-		if c := t.slots[i].cnt; c != 0 {
-			if c > 1 {
-				scratch = append(scratch, int(c))
-			}
-			t.slots[i].cnt = 0
-		}
+func (t *wideTable) drain(cc *countOfCounts) {
+	for _, j := range t.touched[:t.size] {
+		s := &t.slots[j]
+		cc.add(s.cnt)
+		s.cnt = 0
 	}
-	t.size = 0
-	return foldCounts(scratch, lt)
-}
-
-func (t *wideTable) resetHard() {
-	if t.slots == nil {
-		return
-	}
-	clear(t.slots)
 	t.size = 0
 }
 
 // bigramTable counts k = 2 into a dense 65536-entry array: no hashing, no
 // probing, no growth. A touched list records each index the first time its
-// count leaves zero, so folding and clearing cost O(distinct bigrams)
-// instead of O(65536).
+// count leaves zero, so draining costs O(distinct bigrams) instead of
+// O(65536).
 type bigramTable struct {
 	counts  []uint32 // len 65536, allocated on first use
 	touched []uint16
@@ -388,42 +378,55 @@ func (t *bigramTable) scan(data []byte) {
 	}
 }
 
-func (t *bigramTable) fold(scratch []int, lt *logTable) (float64, []int) {
-	scratch = scratch[:0]
+func (t *bigramTable) drain(cc *countOfCounts) {
 	for _, idx := range t.touched {
-		if c := t.counts[idx]; c > 1 {
-			scratch = append(scratch, int(c))
-		}
-		t.counts[idx] = 0
-	}
-	t.touched = t.touched[:0]
-	return foldCounts(scratch, lt)
-}
-
-func (t *bigramTable) resetHard() {
-	for _, idx := range t.touched {
+		cc.add(t.counts[idx])
 		t.counts[idx] = 0
 	}
 	t.touched = t.touched[:0]
 }
 
-// foldCounts sorts the collected counts ascending and sums m·c·log2(c)
-// over the grouped multiplicities — the exact fold shape (and float
-// multiplication order) of the legacy sumCLogC, so the result is
-// bit-identical regardless of key type or table iteration order.
-func foldCounts(scratch []int, lt *logTable) (float64, []int) {
-	sort.Ints(scratch)
+// ---------------------------------------------------------------------------
+// The fold
+
+// countOfCounts is a dense count-of-counts histogram: bins[c] is the number
+// of distinct keys seen exactly c times, for c >= 2 (counts of one add
+// nothing to Σ c·log2(c)). A multiplicity is at most n/2 for n <= maxFlatLen
+// elements, so it fits an int32. Bins are all zero between folds.
+type countOfCounts struct {
+	bins []int32
+	max  int // largest count tallied since the last fold
+}
+
+// reserve makes room for every count a scan of n elements can produce.
+// The bins are zero here, so a larger array needs no copy.
+func (cc *countOfCounts) reserve(n int) {
+	if len(cc.bins) <= n {
+		cc.bins = make([]int32, n+1)
+	}
+}
+
+func (cc *countOfCounts) add(c uint32) {
+	if c > 1 {
+		cc.bins[c]++
+		cc.max = max(cc.max, int(c))
+	}
+}
+
+// fold returns Σ m·c·log2(c) over the tallied counts, visiting c in
+// ascending order, and zeroes the bins it read. This is the exact fold
+// shape and float multiplication order of the legacy sumCLogC, so the sum
+// is bit-identical whatever the key type or the order keys were tallied.
+func (cc *countOfCounts) fold(lt *logTable) float64 {
 	var sum float64
-	for i := 0; i < len(scratch); {
-		c := scratch[i]
-		j := i + 1
-		for j < len(scratch) && scratch[j] == c {
-			j++
+	for c := 2; c <= cc.max; c++ {
+		if m := cc.bins[c]; m != 0 {
+			sum += lt.term(int(m), c)
+			cc.bins[c] = 0
 		}
-		sum += lt.term(j-i, c)
-		i = j
 	}
-	return sum, scratch
+	cc.max = 0
+	return sum
 }
 
 // ---------------------------------------------------------------------------
@@ -431,20 +434,21 @@ func foldCounts(scratch []int, lt *logTable) (float64, []int) {
 
 // counterState is the pooled per-call scratch for exact k-gram counting.
 // Tables are allocated lazily per width on first use and drained (not
-// freed) by their folds, so a warm state counts without allocating.
+// freed) after every scan, so a warm state counts without allocating and
+// goes back to the pool empty.
 type counterState struct {
 	bytes   [256]int // k == 1
 	bigrams bigramTable
 	narrow  [MaxPackedWidth + 1]*flatTable     // 3 <= k <= 8, indexed by k
 	wide    [MaxWidePackedWidth + 1]*wideTable // 9 <= k <= 16, indexed by k
-	scratch []int
+	cc      countOfCounts
 }
 
 var counterPool = sync.Pool{New: func() any { return new(counterState) }}
 
 // narrowTable returns the (lazily created) flat table for 3 <= k <= 8,
 // pre-sized so a scan counting up to grams keys will not grow mid-scan.
-// The table is empty here (folds drain it), so re-sizing is a plain
+// The table is empty here (every scan is drained), so re-sizing is a plain
 // reallocation, never a rehash.
 func (st *counterState) narrowTable(k, grams int) *flatTable {
 	want := flatSlotsFor(grams)
@@ -470,25 +474,26 @@ func (st *counterState) wideTableFor(k, grams int) *wideTable {
 	return st.wide[k]
 }
 
-// resetHard clears every table a partially completed call may have left
-// populated (the error path; the happy path drains tables in the folds).
-func (st *counterState) resetHard(widths []int) {
-	for _, k := range widths {
-		switch {
-		case k == 1:
-			st.bytes = [256]int{}
-		case k == 2:
-			st.bigrams.resetHard()
-		case k <= MaxPackedWidth:
-			if st.narrow[k] != nil {
-				st.narrow[k].resetHard()
-			}
-		case k <= MaxWidePackedWidth:
-			if st.wide[k] != nil {
-				st.wide[k].resetHard()
-			}
-		}
+// sumKGrams counts the k-grams of data (2 <= k <= MaxWidePackedWidth) in
+// the pooled table for k, drains the table into the count-of-counts and
+// folds it, returning Σ c·log2(c).
+func (st *counterState) sumKGrams(data []byte, k int, lt *logTable) float64 {
+	n := len(data) - k + 1
+	st.cc.reserve(n)
+	switch {
+	case k == 2:
+		st.bigrams.scan(data)
+		st.bigrams.drain(&st.cc)
+	case k <= MaxPackedWidth:
+		t := st.narrowTable(k, n)
+		t.scan(data, k)
+		t.drain(&st.cc)
+	default:
+		t := st.wideTableFor(k, n)
+		t.scan(data, k)
+		t.drain(&st.cc)
 	}
+	return st.cc.fold(lt)
 }
 
 // narrowMask keeps the low 8k bits of the single-word register.
@@ -524,8 +529,8 @@ func sumCLogCBytes(counts *[256]int, lt *logTable) float64 {
 // vectorInto computes h_k for each width into vec (len(vec) must equal
 // len(widths)). Widths must already be validated positive and no longer
 // than data. Each distinct width is scanned and folded once (duplicate
-// widths reuse the folded sum), the folds drain the pooled tables, and the
-// state goes back to the pool clean.
+// widths reuse the folded sum); every scan is drained before the next
+// begins, so the state goes back to the pool clean.
 func vectorInto(vec []float64, data []byte, widths []int) error {
 	lt := logsFor(len(data))
 	st := counterPool.Get().(*counterState)
@@ -533,9 +538,8 @@ func vectorInto(vec []float64, data []byte, widths []int) error {
 		folded [MaxWidePackedWidth + 1]bool
 		sums   [MaxWidePackedWidth + 1]float64
 	)
-	flatOK := len(data) <= maxFlatCount
+	flatOK := len(data) <= maxFlatLen
 	for i, k := range widths {
-		n := len(data) - k + 1
 		var sum float64
 		switch {
 		case k <= MaxWidePackedWidth && folded[k]:
@@ -545,21 +549,11 @@ func vectorInto(vec []float64, data []byte, widths []int) error {
 				st.bytes[b]++
 			}
 			sum = sumCLogCBytes(&st.bytes, lt)
-		case k == 2 && flatOK:
-			st.bigrams.scan(data)
-			sum, st.scratch = st.bigrams.fold(st.scratch, lt)
-		case k <= MaxPackedWidth && flatOK:
-			t := st.narrowTable(k, n)
-			t.scan(data, k)
-			sum, st.scratch = t.fold(st.scratch, lt)
 		case k <= MaxWidePackedWidth && flatOK:
-			t := st.wideTableFor(k, n)
-			t.scan(data, k)
-			sum, st.scratch = t.fold(st.scratch, lt)
+			sum = st.sumKGrams(data, k, lt)
 		default:
 			counts, err := CountKGrams(data, k)
 			if err != nil {
-				st.resetHard(widths[:i])
 				counterPool.Put(st)
 				return err
 			}
@@ -569,7 +563,7 @@ func vectorInto(vec []float64, data []byte, widths []int) error {
 			folded[k] = true
 			sums[k] = sum
 		}
-		vec[i] = NormalizeS(sum, n, k)
+		vec[i] = NormalizeS(sum, len(data)-k+1, k)
 	}
 	counterPool.Put(st)
 	return nil

@@ -41,12 +41,50 @@ func payloadsFor(rng *rand.Rand, n int) [][]byte {
 	return [][]byte{random, periodic, constant, text, growth}
 }
 
+// assertBitIdentical checks that VectorAt and LegacyVectorAt agree on
+// every bit of every h_k.
+func assertBitIdentical(t *testing.T, data []byte, widths []int) {
+	t.Helper()
+	fast, err := VectorAt(data, widths)
+	if err != nil {
+		t.Fatalf("VectorAt(n=%d, widths=%v): %v", len(data), widths, err)
+	}
+	legacy, err := LegacyVectorAt(data, widths)
+	if err != nil {
+		t.Fatalf("LegacyVectorAt(n=%d, widths=%v): %v", len(data), widths, err)
+	}
+	for i, k := range widths {
+		if math.Float64bits(fast[i]) != math.Float64bits(legacy[i]) {
+			t.Errorf("n=%d k=%d: packed h=%v (%#x) != legacy h=%v (%#x)",
+				len(data), k, fast[i], math.Float64bits(fast[i]),
+				legacy[i], math.Float64bits(legacy[i]))
+		}
+	}
+}
+
+// supported keeps the widths a payload of n bytes can supply.
+func supported(widths []int, n int) []int {
+	out := widths[:0:0]
+	for _, k := range widths {
+		if k <= n {
+			out = append(out, k)
+		}
+	}
+	return out
+}
+
 // TestDifferentialPackedVsLegacy proves the determinism invariant: the
 // packed-key single-scan path produces bit-identical h_k to the legacy
 // string-keyed path for every width 1..16 across payload lengths 1..4096.
 // The 4 KiB random payloads exceed the initial flat-table capacity, so the
 // sweep covers grow-by-doubling mid-scan in both the one- and two-word
 // tables.
+//
+// A second pass runs the lengths in descending order on this goroutine,
+// over all widths and the φ′_CART and φ′_SVM sets, so the pooled tables,
+// touched lists and count-of-counts bins of a larger payload feed a
+// smaller one: a stale touched entry or an unzeroed bin left by a fold
+// would surface as a wrong h_k there.
 func TestDifferentialPackedVsLegacy(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	lengths := []int{}
@@ -58,27 +96,16 @@ func TestDifferentialPackedVsLegacy(t *testing.T) {
 	allWidths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	for _, n := range lengths {
 		for _, data := range payloadsFor(rng, n) {
-			// Keep only widths the payload can support.
-			widths := allWidths[:0:0]
-			for _, k := range allWidths {
-				if k <= n {
-					widths = append(widths, k)
-				}
-			}
-			fast, err := VectorAt(data, widths)
-			if err != nil {
-				t.Fatalf("VectorAt(n=%d, widths=%v): %v", n, widths, err)
-			}
-			legacy, err := LegacyVectorAt(data, widths)
-			if err != nil {
-				t.Fatalf("LegacyVectorAt(n=%d): %v", n, err)
-			}
-			for i, k := range widths {
-				if math.Float64bits(fast[i]) != math.Float64bits(legacy[i]) {
-					t.Errorf("n=%d k=%d: packed h=%v (%#x) != legacy h=%v (%#x)",
-						n, k, fast[i], math.Float64bits(fast[i]),
-						legacy[i], math.Float64bits(legacy[i]))
-				}
+			assertBitIdentical(t, data, supported(allWidths, n))
+		}
+	}
+
+	widthSets := [][]int{allWidths, {1, 3, 4, 5}, {1, 2, 3, 5}} // all, φ′_CART, φ′_SVM
+	for i := len(lengths) - 1; i >= 0; i-- {
+		n := lengths[i]
+		for _, data := range payloadsFor(rng, n) {
+			for _, widths := range widthSets {
+				assertBitIdentical(t, data, supported(widths, n))
 			}
 		}
 	}
@@ -110,33 +137,50 @@ func TestDifferentialHMatchesLegacy(t *testing.T) {
 // FuzzDifferentialPackedVsLegacy fuzzes the bit-identity invariant: for
 // any payload and any width (including the string-fallback region past
 // the wide-packed limit), the flat-table path and the legacy string-keyed
-// path must agree on every bit of h_k.
+// path must agree on every bit of h_k. It also compares VectorAt over the
+// width set the bitmask names (bit i selects width i+1) on the payload and
+// then on its first half, back to back, so the second call runs on pooled
+// tables and count-of-counts bins the first one drained.
 func FuzzDifferentialPackedVsLegacy(f *testing.F) {
-	f.Add([]byte("the quick brown fox"), uint8(3))
-	f.Add(bytes.Repeat([]byte{0}, 64), uint8(4))
-	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 512), uint8(9))
+	f.Add([]byte("the quick brown fox"), uint8(3), uint16(0b1101))
+	f.Add(bytes.Repeat([]byte{0}, 64), uint8(4), uint16(0xFFFF))
+	f.Add(bytes.Repeat([]byte{0xAB, 0xCD}, 512), uint8(9), uint16(0b1_0001_0001_0111))
 	big := make([]byte, 4096)
 	rand.New(rand.NewSource(1)).Read(big)
-	f.Add(big, uint8(16))
-	f.Add(big[:2048], uint8(11))
-	f.Add(append(bytes.Repeat([]byte{1, 2, 3}, 600), big[:1024]...), uint8(10))
-	f.Fuzz(func(t *testing.T, data []byte, width uint8) {
+	f.Add(big, uint8(16), uint16(0b1_1101))
+	f.Add(big[:2048], uint8(11), uint16(0x8301))
+	f.Add(append(bytes.Repeat([]byte{1, 2, 3}, 600), big[:1024]...), uint8(10), uint16(0xFFFF))
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, mask uint16) {
+		var widths []int
+		for i := 0; i < 16; i++ {
+			if mask&(1<<i) != 0 {
+				widths = append(widths, i+1)
+			}
+		}
 		k := int(width)
-		if k < 1 || k > 18 || k > len(data) {
+		single := k >= 1 && k <= 18 && k <= len(data)
+		if !single && len(supported(widths, len(data))) == 0 {
 			t.Skip()
 		}
-		fast, err := H(data, k)
-		if err != nil {
-			t.Fatalf("H(n=%d, k=%d): %v", len(data), k, err)
+		if single {
+			fast, err := H(data, k)
+			if err != nil {
+				t.Fatalf("H(n=%d, k=%d): %v", len(data), k, err)
+			}
+			legacy, err := legacyH(data, k)
+			if err != nil {
+				t.Fatalf("legacyH(n=%d, k=%d): %v", len(data), k, err)
+			}
+			if math.Float64bits(fast) != math.Float64bits(legacy) {
+				t.Errorf("n=%d k=%d: packed h=%v (%#x) != legacy h=%v (%#x)",
+					len(data), k, fast, math.Float64bits(fast),
+					legacy, math.Float64bits(legacy))
+			}
 		}
-		legacy, err := legacyH(data, k)
-		if err != nil {
-			t.Fatalf("legacyH(n=%d, k=%d): %v", len(data), k, err)
-		}
-		if math.Float64bits(fast) != math.Float64bits(legacy) {
-			t.Errorf("n=%d k=%d: packed h=%v (%#x) != legacy h=%v (%#x)",
-				len(data), k, fast, math.Float64bits(fast),
-				legacy, math.Float64bits(legacy))
+		for _, payload := range [][]byte{data, data[:len(data)/2]} {
+			if ws := supported(widths, len(payload)); len(ws) > 0 {
+				assertBitIdentical(t, payload, ws)
+			}
 		}
 	})
 }
@@ -199,41 +243,53 @@ func TestNormalizeSEdgeCases(t *testing.T) {
 }
 
 // TestVectorAllocRegression is the alloc budget gate for the hot path: a
-// warm pooled counter must extract a k <= 8 entropy vector from a 1 KiB
-// payload with only the result-slice allocations, and the legacy
-// string-keyed path must cost at least 5x more allocations (the PR's
-// acceptance ratio).
+// warm pooled counter must extract an entropy vector with only the
+// result-slice allocation, both for k <= 8 over a 1 KiB payload and at the
+// serve shape (φ′_CART over a 4 KiB payload), where warm touched lists and
+// count-of-counts bins must not allocate per call. The legacy string-keyed
+// path must cost at least 5x more allocations than the packed path.
 func TestVectorAllocRegression(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are skewed under the race detector")
 	}
-	data := make([]byte, 1024)
-	rand.New(rand.NewSource(9)).Read(data)
-	widths := []int{1, 2, 3, 4, 5, 6, 7, 8}
+	cases := []struct {
+		name   string
+		size   int
+		widths []int
+	}{
+		{"1KiB/k1-8", 1024, []int{1, 2, 3, 4, 5, 6, 7, 8}},
+		{"4KiB/phi-prime-cart", 4096, []int{1, 3, 4, 5}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := make([]byte, c.size)
+			rand.New(rand.NewSource(9)).Read(data)
 
-	// Warm the pool so map capacity is in steady state.
-	for i := 0; i < 4; i++ {
-		if _, err := VectorAt(data, widths); err != nil {
-			t.Fatal(err)
-		}
+			// Warm the pool so every table is in steady state.
+			for i := 0; i < 4; i++ {
+				if _, err := VectorAt(data, c.widths); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fast := testing.AllocsPerRun(50, func() {
+				if _, err := VectorAt(data, c.widths); err != nil {
+					t.Fatal(err)
+				}
+			})
+			// One alloc for the result slice; a little headroom for pool
+			// churn under GC pressure.
+			if fast > 4 {
+				t.Errorf("packed VectorAt allocs/op = %v, want <= 4", fast)
+			}
+			legacy := testing.AllocsPerRun(10, func() {
+				if _, err := LegacyVectorAt(data, c.widths); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if legacy < 5*fast {
+				t.Errorf("legacy allocs/op = %v, packed = %v: want >= 5x reduction", legacy, fast)
+			}
+			t.Logf("allocs/op: packed=%v legacy=%v (%.0fx)", fast, legacy, legacy/math.Max(fast, 1))
+		})
 	}
-	fast := testing.AllocsPerRun(50, func() {
-		if _, err := VectorAt(data, widths); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// One alloc for the result slice; a little headroom for pool churn
-	// under GC pressure.
-	if fast > 4 {
-		t.Errorf("packed VectorAt allocs/op = %v, want <= 4", fast)
-	}
-	legacy := testing.AllocsPerRun(10, func() {
-		if _, err := LegacyVectorAt(data, widths); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if legacy < 5*fast {
-		t.Errorf("legacy allocs/op = %v, packed = %v: want >= 5x reduction", legacy, fast)
-	}
-	t.Logf("allocs/op: packed=%v legacy=%v (%.0fx)", fast, legacy, legacy/math.Max(fast, 1))
 }
