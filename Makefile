@@ -16,15 +16,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The pre-merge gate: static checks, the race detector, the hot-path
-# allocation-regression gate (run without -race, which skews allocation
-# counts), the networked-ingest chaos soak, the cluster chaos soak, and
-# a short fuzz smoke over the byte-level parsers and snapshot decoders.
-# Slower than `test`, run before pushing.
+# The pre-merge gate: static checks (vet, gofmt), the race detector, the
+# hot-path and checkpoint allocation-regression gates (run without -race,
+# which skews allocation counts), the networked-ingest chaos soak, the
+# cluster chaos soak, and a short fuzz smoke over the byte-level parsers
+# and snapshot decoders. Slower than `test`, run before pushing.
 check:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
-	$(GO) test -run 'TestVectorAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression' -count=1 ./internal/entropy ./internal/entest ./internal/flow
+	$(GO) test -run 'TestVectorAllocRegression|TestStreamWriteAllocFree|TestBatchAllocRegression|TestExportPendingAllocs' -count=1 ./internal/entropy ./internal/entest ./internal/flow
 	$(GO) test -run 'TestChaosConnSoak' -count=1 ./internal/ingest
 	$(MAKE) cluster-soak
 	$(MAKE) ops-soak

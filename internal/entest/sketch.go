@@ -17,7 +17,7 @@ import (
 //
 // The unexported state methods keep the checkpoint codec inside this
 // package; external packages persist a sketch through
-// StreamVector.ExportState/ImportState.
+// StreamVector.AppendState/ImportState.
 type Sketch interface {
 	// Write consumes the next chunk of the stream (io.Writer; never fails).
 	Write(p []byte) (int, error)
@@ -38,6 +38,7 @@ type Sketch interface {
 	Reset()
 
 	exportState(enc *persist.Encoder)
+	stateSize() int // bytes exportState writes
 	importState(d *persist.Decoder) error
 }
 
@@ -225,20 +226,16 @@ func fnv64(b []byte) uint64 {
 
 // EstimateS returns the minimum over rows of Σ c·log2(c): every row
 // overestimates S under collisions, so the min is the tightest available
-// estimate. It returns 0 before any element arrives.
+// estimate. Each row folds through entropy's shared c·log2(c) memo, a
+// table lookup per counter instead of a logarithm, with bit-identical
+// sums. It returns 0 before any element arrives.
 func (c *CCSketch) EstimateS() float64 {
 	if c.n == 0 {
 		return 0
 	}
 	best := math.Inf(1)
 	for r := 0; r < c.rows; r++ {
-		var s float64
-		for _, cnt := range c.counts[r*c.width : (r+1)*c.width] {
-			if cnt > 1 {
-				s += float64(cnt) * math.Log2(float64(cnt))
-			}
-		}
-		if s < best {
+		if s := entropy.SumCLogC(c.counts[r*c.width : (r+1)*c.width]); s < best {
 			best = s
 		}
 	}

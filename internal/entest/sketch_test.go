@@ -10,6 +10,7 @@ import (
 
 	"iustitia/internal/corpus"
 	"iustitia/internal/entropy"
+	"iustitia/internal/persist"
 )
 
 // exactS computes S_k = Σ m_ik·log2(m_ik) exactly with a hash map, the
@@ -171,7 +172,7 @@ func TestStreamDeltaEpsilonBoundPerClass(t *testing.T) {
 	}
 }
 
-// Mid-flow sketch state must round-trip through ExportState/ImportState:
+// Mid-flow sketch state must round-trip through AppendState/ImportState:
 // restore at an odd byte offset (partial rolling windows, pending reservoir
 // skips) and the resumed vector must match an uninterrupted one bit for bit.
 func TestStreamVectorCheckpointRoundTrip(t *testing.T) {
@@ -197,7 +198,7 @@ func TestStreamVectorCheckpointRoundTrip(t *testing.T) {
 		}
 		const cut = 517 // odd offset: every window mode mid-element
 		first.Write(f.Data[:cut])
-		blob := first.ExportState()
+		blob := stateBytes(t, first)
 
 		resumed, err := NewStreamVectorConfig(cfg)
 		if err != nil {
@@ -221,10 +222,22 @@ func TestStreamVectorCheckpointRoundTrip(t *testing.T) {
 				t.Fatalf("%s: restored vector[%d] = %v, uninterrupted %v", kind, i, gotVec[i], wantVec[i])
 			}
 		}
-		if !bytes.Equal(uncut.ExportState(), resumed.ExportState()) {
+		if !bytes.Equal(stateBytes(t, uncut), stateBytes(t, resumed)) {
 			t.Fatalf("%s: restored state diverged from uninterrupted state", kind)
 		}
 	}
+}
+
+// stateBytes encodes a vector's state on its own, checking StateSize
+// against what AppendState wrote.
+func stateBytes(tb testing.TB, v *StreamVector) []byte {
+	tb.Helper()
+	var enc persist.Encoder
+	v.AppendState(&enc)
+	if got, want := len(enc.Bytes()), v.StateSize(); got != want {
+		tb.Fatalf("AppendState wrote %d bytes, StateSize says %d", got, want)
+	}
+	return enc.Bytes()
 }
 
 // Hostile checkpoint blobs must be rejected with an error, never a panic:
@@ -241,7 +254,7 @@ func TestStreamVectorImportRejectsCorrupt(t *testing.T) {
 	data := make([]byte, 137)
 	rand.New(rand.NewSource(2)).Read(data)
 	v.Write(data)
-	blob := v.ExportState()
+	blob := stateBytes(t, v)
 
 	for cut := 0; cut < len(blob); cut++ {
 		fresh, err := NewStreamVectorConfig(cfg)
@@ -323,7 +336,7 @@ func TestStreamVectorResetReuse(t *testing.T) {
 				t.Fatalf("%s: reused vector[%d] = %v, fresh %v", kind, i, rv[i], fv[i])
 			}
 		}
-		if !bytes.Equal(reused.ExportState(), fresh.ExportState()) {
+		if !bytes.Equal(stateBytes(t, reused), stateBytes(t, fresh)) {
 			t.Fatalf("%s: reused state differs from fresh state", kind)
 		}
 	}
@@ -502,5 +515,42 @@ func BenchmarkStreamEstimatorWrite(b *testing.B) {
 func BenchmarkCCSketchWrite(b *testing.B) {
 	for _, k := range []int{3, 9} {
 		b.Run(fmt.Sprintf("k%d", k), func(b *testing.B) { benchSketchWrite(b, SketchCC, k) })
+	}
+}
+
+var vectorSink []float64
+
+// BenchmarkStreamVectorVector times the estimate behind one stream
+// decision: the φ′_CART = {1, 3, 4, 5} vector of a full b = 4096 flow, per
+// backend and corpus class.
+func BenchmarkStreamVectorVector(b *testing.B) {
+	const size = 4096
+	for _, kind := range []SketchKind{SketchCC, SketchLall} {
+		for _, class := range []corpus.Class{corpus.Text, corpus.Encrypted} {
+			f, err := corpus.NewGenerator(size).File(class, size)
+			if err != nil {
+				b.Fatal(err)
+			}
+			v, err := NewStreamVectorConfig(StreamConfig{
+				Epsilon: 0.25, Delta: 0.25, Widths: []int{1, 3, 4, 5}, ExpectedLen: size, Seed: 1, Kind: kind,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			v.Write(f.Data)
+			if _, err := v.Vector(); err != nil { // warm the shared log memo
+				b.Fatal(err)
+			}
+			b.Run(fmt.Sprintf("%s/%s/b%d", kind, class, size), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					vec, err := v.Vector()
+					if err != nil {
+						b.Fatal(err)
+					}
+					vectorSink = vec
+				}
+			})
+		}
 	}
 }

@@ -19,10 +19,11 @@ import (
 // checkpoints and migration blobs.
 const streamStateVersion = 1
 
-// ExportState serializes the vector's full mid-stream state. Restore it
-// with ImportState on a vector built from the same StreamConfig.
-func (v *StreamVector) ExportState() []byte {
-	var enc persist.Encoder
+// AppendState writes the vector's full mid-stream state into enc, each
+// sketch's sub-state nested in place (BlobStart/BlobEnd), so a caller
+// encoding many flows builds one buffer with no per-flow copies. Restore
+// it with ImportState on a vector built from the same StreamConfig.
+func (v *StreamVector) AppendState(enc *persist.Encoder) {
 	enc.U8(streamStateVersion)
 	enc.U8(uint8(v.kind))
 	enc.U32(uint32(len(v.widths)))
@@ -46,14 +47,28 @@ func (v *StreamVector) ExportState() []byte {
 		}
 	}
 	for _, est := range v.wide {
-		var sub persist.Encoder
-		est.exportState(&sub)
-		enc.Blob(sub.Bytes())
+		mark := enc.BlobStart()
+		est.exportState(enc)
+		enc.BlobEnd(mark)
 	}
-	return enc.Bytes()
 }
 
-// ImportState restores state written by ExportState into this vector. The
+// StateSize returns the exact number of bytes AppendState writes, so a
+// caller encoding many vectors can size its buffer once.
+func (v *StreamVector) StateSize() int {
+	n := 1 + 1 + 4 + 4*len(v.widths) + 8 + 4
+	for _, c := range v.h1 {
+		if c != 0 {
+			n += 1 + 8
+		}
+	}
+	for _, est := range v.wide {
+		n += 4 + est.stateSize()
+	}
+	return n
+}
+
+// ImportState restores state written by AppendState into this vector. The
 // receiver must have been built from the same StreamConfig (kind and
 // widths are validated; counter geometry is validated per sketch). On
 // error the vector is left partially restored and must be discarded —
@@ -129,6 +144,9 @@ func exportWin(enc *persist.Encoder, w *kgramWin) {
 	enc.Blob(w.buf)
 }
 
+// winStateSize is the number of bytes exportWin writes.
+func winStateSize(w *kgramWin) int { return 8 + 8 + 4 + 4 + len(w.buf) }
+
 // importWin restores a rolling window, validating against its mode.
 func importWin(d *persist.Decoder, w *kgramWin) {
 	reg := d.U64()
@@ -173,6 +191,14 @@ func (s *StreamEstimator) exportState(enc *persist.Encoder) {
 		enc.I64(int64(sl.count))
 		enc.I64(int64(sl.next))
 	}
+}
+
+func (s *StreamEstimator) stateSize() int {
+	n := 8 + 8 + winStateSize(&s.win) + 4
+	for i := range s.slots {
+		n += 8 + 8 + 4 + len(s.slots[i].elem) + 8 + 8
+	}
+	return n
 }
 
 func (s *StreamEstimator) importState(d *persist.Decoder) error {
@@ -225,11 +251,10 @@ func (s *StreamEstimator) importState(d *persist.Decoder) error {
 func (c *CCSketch) exportState(enc *persist.Encoder) {
 	enc.I64(int64(c.n))
 	exportWin(enc, &c.win)
-	enc.U32(uint32(len(c.counts)))
-	for _, cnt := range c.counts {
-		enc.U32(cnt)
-	}
+	enc.U32s(c.counts)
 }
+
+func (c *CCSketch) stateSize() int { return 8 + winStateSize(&c.win) + 4 + 4*len(c.counts) }
 
 func (c *CCSketch) importState(d *persist.Decoder) error {
 	n := d.I64()

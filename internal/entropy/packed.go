@@ -148,6 +148,30 @@ func (lt *logTable) term(mult, c int) float64 {
 	return float64(mult) * float64(c) * math.Log2(float64(c))
 }
 
+// SumCLogC returns Σ c·log2(c) over the counts above one, summed in slice
+// order, each term taken from the shared c·log2(c) memo (counts beyond it
+// compute float64(c)·log2(c) inline, as term does). The sum is therefore
+// bit-identical to the plain loop
+//
+//	for _, c := range counts { if c > 1 { s += float64(c) * math.Log2(float64(c)) } }
+//
+// at a table lookup per term instead of a logarithm. Sketches whose
+// counters are dense arrays (entest.CCSketch rows) fold through it.
+func SumCLogC(counts []uint32) float64 {
+	clogc := logsFor(0).clogc
+	var sum float64
+	for _, c := range counts {
+		if c > 1 {
+			if int(c) < len(clogc) {
+				sum += clogc[c]
+			} else {
+				sum += float64(c) * math.Log2(float64(c))
+			}
+		}
+	}
+	return sum
+}
+
 // ---------------------------------------------------------------------------
 // Flat counting tables
 //

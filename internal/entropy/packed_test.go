@@ -293,3 +293,43 @@ func TestVectorAllocRegression(t *testing.T) {
 		})
 	}
 }
+
+// SumCLogC must be Float64bits-equal to the plain math.Log2 loop it
+// replaces, on counts inside the memo, at its edges, and far beyond it
+// (the inline fallback), whatever the slice order.
+func TestSumCLogCMatchesNaive(t *testing.T) {
+	naive := func(counts []uint32) float64 {
+		var s float64
+		for _, c := range counts {
+			if c > 1 {
+				s += float64(c) * math.Log2(float64(c))
+			}
+		}
+		return s
+	}
+	edges := []uint32{0, 1, 2, 3, 4095, 4096, 4097, 8191, 8192, 1 << 20, 1<<20 + 1, 1 << 24, math.MaxUint32}
+	rng := rand.New(rand.NewSource(5))
+	cases := [][]uint32{nil, {}, edges}
+	for i := 0; i < 200; i++ {
+		counts := make([]uint32, 1+rng.Intn(600))
+		for j := range counts {
+			switch rng.Intn(4) {
+			case 0:
+				counts[j] = edges[rng.Intn(len(edges))]
+			case 1:
+				counts[j] = uint32(rng.Intn(16))
+			case 2:
+				counts[j] = uint32(rng.Intn(1 << 13))
+			default:
+				counts[j] = rng.Uint32()
+			}
+		}
+		cases = append(cases, counts)
+	}
+	for i, counts := range cases {
+		if got, want := SumCLogC(counts), naive(counts); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("case %d (%d counts): SumCLogC = %v (%#x), naive %v (%#x)",
+				i, len(counts), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

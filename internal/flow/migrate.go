@@ -27,10 +27,14 @@ import (
 // holds on both engines throughout. MigratedIn/MigratedOut count the
 // moved flows for the cluster soak's assertions.
 
-// pendingExport is one mid-buffer flow in wire-portable form. Exactly one
-// of buf (exact mode) and sketch (stream mode) is non-empty; seen carries
+// pendingExport is one mid-buffer flow in wire-portable form; seen carries
 // the stream-mode byte tally so the classification trigger survives the
-// move.
+// move. On the export side it references the flow's live state — buf,
+// headerTail and sv are the flow's own, not copies — so it is encoded
+// while nothing else can touch the flow: under its shard's lock
+// (ExportPending) or after the flow has been retired (takeFlows). On the
+// decode side sketch holds the flow's sketch state and sv is nil. A flow
+// carries a buffer (exact mode) or sketch state (stream mode), not both.
 type pendingExport struct {
 	id          ID
 	firstSeen   time.Duration
@@ -43,11 +47,40 @@ type pendingExport struct {
 	headerSpent int
 	buf         []byte
 	headerTail  []byte
+	sv          *entest.StreamVector
 	sketch      []byte
 }
 
-// flowExport is a decoded migration payload: pending flows plus CDB
-// records, both filtered by the same predicate.
+// pendingOf views a live pending flow for export, without copying its
+// buffer, header tail or sketch.
+func pendingOf(id ID, fl *pending) pendingExport {
+	return pendingExport{
+		id:          id,
+		firstSeen:   fl.firstSeen,
+		lastSeen:    fl.lastSeen,
+		packets:     fl.packets,
+		skipLeft:    fl.skipLeft,
+		seen:        fl.seen,
+		checkedHdr:  fl.checkedHdr,
+		headerCont:  fl.headerCont,
+		headerSpent: fl.headerSpent,
+		buf:         fl.buf,
+		headerTail:  fl.headerTail,
+		sv:          fl.sv,
+	}
+}
+
+// wireSize is the exact number of bytes encodeFlowExport writes for p.
+func (p *pendingExport) wireSize() int {
+	n := pendingExportWire + len(p.buf) + len(p.headerTail) + len(p.sketch)
+	if p.sv != nil {
+		n += p.sv.StateSize()
+	}
+	return n
+}
+
+// flowExport is a migration payload: pending flows plus CDB records, both
+// filtered by the same predicate.
 type flowExport struct {
 	pendings []pendingExport
 	records  []cdbEntry
@@ -58,13 +91,21 @@ const (
 	pendFlagHeaderCont = 1 << 1
 )
 
-// encodeFlowExport serializes a migration payload. Hand it to
+// encodeFlowExport serializes a migration payload in one pass into a
+// buffer sized once: every flow's buffer, header tail and sketch state
+// are written in place, with no per-flow intermediate copy. Hand it to
 // persist.Encode / persist.SaveFile under persist.KindMigration.
 func encodeFlowExport(fx flowExport) []byte {
+	size := 4 + 4 + 4 + 4 + cdbRecordWire*len(fx.records)
+	for i := range fx.pendings {
+		size += fx.pendings[i].wireSize()
+	}
 	var enc persist.Encoder
+	enc.Grow(size)
 	enc.U32(uint32(corpus.NumClasses))
 	enc.U32(uint32(len(fx.pendings)))
-	for _, p := range fx.pendings {
+	for i := range fx.pendings {
+		p := &fx.pendings[i]
 		enc.Raw(p.id[:])
 		enc.I64(int64(p.firstSeen))
 		enc.I64(int64(p.lastSeen))
@@ -82,9 +123,17 @@ func encodeFlowExport(fx flowExport) []byte {
 		enc.I64(int64(p.seen))
 		enc.Blob(p.buf)
 		enc.Blob(p.headerTail)
-		enc.Blob(p.sketch)
+		if p.sv != nil {
+			mark := enc.BlobStart()
+			p.sv.AppendState(&enc)
+			enc.BlobEnd(mark)
+		} else {
+			enc.Blob(p.sketch)
+		}
 	}
-	enc.Blob(encodeCDBEntries(fx.records))
+	mark := enc.BlobStart()
+	appendCDBEntries(&enc, fx.records)
+	enc.BlobEnd(mark)
 	return enc.Bytes()
 }
 
@@ -144,7 +193,8 @@ func decodeFlowExport(data []byte) (flowExport, error) {
 // takeFlows removes every pending flow and CDB record whose ID matches
 // pred and returns them, deterministically ordered. The removed pending
 // flows decrement admitted (the checkpoint convention) and count as
-// MigratedOut.
+// MigratedOut. The returned flows are retired, so the export references
+// their state without copying and is encoded without the engine lock.
 func (e *Engine) takeFlows(pred func(ID) bool) flowExport {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -153,7 +203,7 @@ func (e *Engine) takeFlows(pred func(ID) bool) flowExport {
 		if !pred(id) {
 			continue
 		}
-		fx.pendings = append(fx.pendings, exportPending(id, fl))
+		fx.pendings = append(fx.pendings, pendingOf(id, fl))
 		e.retireLocked(id, fl)
 		e.ec.admitted.Add(-1)
 		e.ec.migratedOut.Add(1)
@@ -171,43 +221,8 @@ func (e *Engine) takeFlows(pred func(ID) bool) flowExport {
 	return fx
 }
 
-func exportPending(id ID, fl *pending) pendingExport {
-	p := pendingExport{
-		id:          id,
-		firstSeen:   fl.firstSeen,
-		lastSeen:    fl.lastSeen,
-		packets:     fl.packets,
-		skipLeft:    fl.skipLeft,
-		seen:        fl.seen,
-		checkedHdr:  fl.checkedHdr,
-		headerCont:  fl.headerCont,
-		headerSpent: fl.headerSpent,
-		buf:         append([]byte(nil), fl.buf...),
-		headerTail:  append([]byte(nil), fl.headerTail...),
-	}
-	if fl.sv != nil {
-		p.sketch = fl.sv.ExportState()
-	}
-	return p
-}
-
 func sortPendings(ps []pendingExport) {
 	sort.Slice(ps, func(i, j int) bool { return string(ps[i].id[:]) < string(ps[j].id[:]) })
-}
-
-// snapshotPendings copies every pending flow without removing anything —
-// the node-checkpoint variant, where the CDB already travels inside the
-// engine checkpoint and the pending flows ride alongside so a SIGKILLed
-// node's mid-buffer flows survive the restart.
-func (e *Engine) snapshotPendings() []pendingExport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ps := make([]pendingExport, 0, len(e.pend))
-	for id, fl := range e.pend {
-		ps = append(ps, exportPending(id, fl))
-	}
-	sortPendings(ps)
-	return ps
 }
 
 // convertModeLocked reconciles an imported flow's payload state with this
@@ -360,14 +375,33 @@ func (pe *ParallelEngine) ImportFlows(data []byte) (int, error) {
 
 // ExportPending snapshots every shard's pending flows without removing
 // them — the in-flight section of a node checkpoint (the CDB and
-// counters travel in the engine checkpoint alongside).
+// counters travel in the engine checkpoint alongside). Every flow's live
+// state is written straight into the payload, so ExportPending holds every
+// shard's lock through the sort and the encode, which also makes the
+// snapshot one consistent cut across shards.
+//
+// Lock order: shard locks are taken in shard-index order. This is the only
+// site that holds more than one shard lock; any other must take them in the
+// same order.
 func (pe *ParallelEngine) ExportPending() []byte {
-	var all flowExport
+	n := 0
 	for _, shard := range pe.shards {
-		all.pendings = append(all.pendings, shard.snapshotPendings()...)
+		shard.mu.Lock()
+		n += len(shard.pend)
 	}
-	sortPendings(all.pendings)
-	return encodeFlowExport(all)
+	defer func() {
+		for _, shard := range pe.shards {
+			shard.mu.Unlock()
+		}
+	}()
+	ps := make([]pendingExport, 0, n)
+	for _, shard := range pe.shards {
+		for id, fl := range shard.pend {
+			ps = append(ps, pendingOf(id, fl))
+		}
+	}
+	sortPendings(ps)
+	return encodeFlowExport(flowExport{pendings: ps})
 }
 
 // ImportPending installs a payload written by ExportPending into a

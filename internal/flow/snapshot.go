@@ -35,10 +35,9 @@ func sortCDBEntries(all []cdbEntry) {
 	})
 }
 
-// encodeCDBEntries serializes entries in the snapshot wire format. The
-// caller supplies them already in deterministic order.
-func encodeCDBEntries(all []cdbEntry) []byte {
-	var e persist.Encoder
+// appendCDBEntries writes entries in the snapshot wire format. The caller
+// supplies them already in deterministic order.
+func appendCDBEntries(e *persist.Encoder, all []cdbEntry) {
 	e.U32(uint32(len(all)))
 	for _, ent := range all {
 		e.Raw(ent.id[:])
@@ -47,7 +46,6 @@ func encodeCDBEntries(all []cdbEntry) []byte {
 		e.I64(int64(ent.rec.lambda))
 		e.I64(int64(ent.rec.classifiedAt))
 	}
-	return e.Bytes()
 }
 
 // decodeCDBEntries parses and validates snapshot-format records. Hostile
@@ -100,7 +98,9 @@ func (c *CDB) exportLocked() []byte {
 		all = append(all, cdbEntry{id, rec})
 	}
 	sortCDBEntries(all)
-	return encodeCDBEntries(all)
+	var enc persist.Encoder
+	appendCDBEntries(&enc, all)
+	return enc.Bytes()
 }
 
 // cdbRecordWire is the per-record wire size: 20-byte ID, 1-byte label,

@@ -45,9 +45,11 @@ const (
 // EncodeNodeCheckpoint assembles a persist.KindNodeCheckpoint payload:
 // the delivery-sequence watermark the checkpoint covers, the engine's
 // parallel checkpoint, and the pending (mid-buffer) flows. Frame it with
-// persist.SaveFile under persist.KindNodeCheckpoint.
+// persist.SaveFile under persist.KindNodeCheckpoint. The buffer is sized
+// once, so each part is copied exactly once.
 func EncodeNodeCheckpoint(seq uint64, engineCkpt, pending []byte) []byte {
 	var enc persist.Encoder
+	enc.Grow(8 + 4 + len(engineCkpt) + 4 + len(pending))
 	enc.U64(seq)
 	enc.Blob(engineCkpt)
 	enc.Blob(pending)

@@ -363,13 +363,13 @@ func TestParseSettings(t *testing.T) {
 	}
 
 	for _, bad := range [][]string{
-		{"overflow"},          // no value
-		{"overflow=banana"},   // unknown policy
-		{"batch=0"},           // not positive
-		{"max_pending=-1"},    // negative
-		{"evict=newest"},      // unknown policy
-		{"idle_flush=-1s"},    // negative duration
-		{"turbo=on"},          // unknown key
+		{"overflow"},        // no value
+		{"overflow=banana"}, // unknown policy
+		{"batch=0"},         // not positive
+		{"max_pending=-1"},  // negative
+		{"evict=newest"},    // unknown policy
+		{"idle_flush=-1s"},  // negative duration
+		{"turbo=on"},        // unknown key
 	} {
 		if _, err := ParseSettings(bad); err == nil {
 			t.Errorf("ParseSettings(%v) accepted", bad)

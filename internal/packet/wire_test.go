@@ -25,7 +25,7 @@ func wireTestPacket() Packet {
 func TestWireRoundTrip(t *testing.T) {
 	cases := []Packet{
 		wireTestPacket(),
-		{Tuple: wireTestPacket().Tuple, Time: 0, Flags: FlagFIN},                          // no payload
+		{Tuple: wireTestPacket().Tuple, Time: 0, Flags: FlagFIN},                                              // no payload
 		{Tuple: FiveTuple{Transport: UDP}, Time: time.Hour, Payload: bytes.Repeat([]byte{7}, MaxWirePayload)}, // max payload
 	}
 	for i, want := range cases {

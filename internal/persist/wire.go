@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file is the low-level wire codec the snapshot payloads are built
@@ -13,13 +14,20 @@ import (
 // hostile payload can make decoding fail but never make it panic or
 // allocate unboundedly.
 
-// Encoder appends wire primitives to a byte buffer.
+// Encoder appends wire primitives to a byte buffer. Nested payloads are
+// written in place: BlobStart reserves a length prefix, the nested encoding
+// appends straight into the same buffer, and BlobEnd back-fills the
+// prefix, so a payload of payloads is built in one buffer with no copies.
 type Encoder struct {
 	buf []byte
 }
 
 // Bytes returns the encoded buffer.
 func (e *Encoder) Bytes() []byte { return e.buf }
+
+// Grow ensures room for n more bytes without reallocating: a caller that
+// knows the final size sizes the buffer once.
+func (e *Encoder) Grow(n int) { e.buf = slices.Grow(e.buf, n) }
 
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
@@ -44,6 +52,31 @@ func (e *Encoder) Raw(b []byte) { e.buf = append(e.buf, b...) }
 func (e *Encoder) Blob(b []byte) {
 	e.U32(uint32(len(b)))
 	e.buf = append(e.buf, b...)
+}
+
+// BlobStart reserves a U32 length prefix for a blob whose bytes the caller
+// appends next, and returns the mark BlobEnd needs. A BlobStart/BlobEnd
+// pair writes exactly what Blob writes for the bytes in between.
+func (e *Encoder) BlobStart() int {
+	mark := len(e.buf)
+	e.U32(0)
+	return mark
+}
+
+// BlobEnd back-fills the length prefix reserved at mark with the number of
+// bytes appended since.
+func (e *Encoder) BlobEnd(mark int) {
+	binary.LittleEndian.PutUint32(e.buf[mark:], uint32(len(e.buf)-mark-4))
+}
+
+// U32s appends a U32 count prefix followed by the values.
+func (e *Encoder) U32s(vs []uint32) {
+	e.U32(uint32(len(vs)))
+	off := len(e.buf)
+	e.buf = append(e.buf, make([]byte, 4*len(vs))...)
+	for i, v := range vs {
+		binary.LittleEndian.PutUint32(e.buf[off+4*i:], v)
+	}
 }
 
 // F64s appends a U32 count prefix followed by the values.
